@@ -15,8 +15,8 @@ described in the paper:
   (:mod:`repro.experiments`).
 
 The supported library surface is :mod:`repro.api` — the staged pipeline
-(:class:`repro.api.Session`) plus the classic :class:`HybridCompiler` façade
-— together with the helpers in :mod:`repro.stencils`.
+(:class:`repro.api.Session`) — together with the helpers in
+:mod:`repro.stencils`.
 """
 
 from importlib import import_module
@@ -27,8 +27,6 @@ __version__ = "1.0.0"
 # Public names re-exported lazily so that importing a submodule (for example
 # ``repro.polyhedral``) does not pull in the whole compiler stack.
 _EXPORTS = {
-    "HybridCompiler": "repro.compiler",
-    "CompilationResult": "repro.compiler",
     "Session": "repro.api",
     "OptimizationConfig": "repro.api",
     "TileSizes": "repro.api",

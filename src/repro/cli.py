@@ -54,7 +54,6 @@ import sys
 from repro import obs
 from repro.api import (
     STAGES,
-    HybridCompiler,
     PipelineError,
     Session,
     TileSizes,
@@ -146,11 +145,12 @@ def _compile_and_report(program, args: argparse.Namespace) -> int:
     tuning_db = None
     if tuned:
         tuning_db = TuningDatabase.load(getattr(args, "tuning_db", None))
-    compiler = HybridCompiler(
-        _get_device_checked(args.device), disk_cache=cache, tuning_db=tuning_db
+    session = Session(
+        device=_get_device_checked(args.device), disk_cache=cache,
+        tuning_db=tuning_db,
     )
     if tuned:
-        entry = compiler.session.resolve_tuned(program)
+        entry = session.resolve_tuned(program)
         if entry is not None:
             best = entry["best"]
             widths = ",".join(str(w) for w in best["widths"])
@@ -165,29 +165,33 @@ def _compile_and_report(program, args: argparse.Namespace) -> int:
                 "falling back to the model selection "
                 "(run `hexcc tune` to populate the database)"
             )
-    compiled = compiler.compile(program, tile_sizes=tile_sizes, tuned=tuned)
+    run = session.run(
+        program, tile_sizes=tile_sizes, stop_after="analysis", tuned=tuned
+    )
     _flush_cache(cache)
-    print(compiled.describe())
+    print(f"compilation of {program.name} ({run.request.config.label})")
+    print(run.artifact("tiling").tiling.describe())
+    print(run.artifact("memory").plan.describe())
     print()
-    print(compiled.estimate_performance().summary())
+    print(run.artifact("analysis").report.summary())
     if args.show_cuda:
         print()
-        print(compiled.cuda_source)
+        print(run.artifact("codegen").cuda_source)
     return EXIT_OK
 
 
 def _validate_and_report(program, args: argparse.Namespace) -> int:
+    from repro.tiling.validate import validate_hybrid_tiling
+
     cache = _disk_cache(args)
-    compiled = HybridCompiler(disk_cache=cache).compile(
-        program, tile_sizes=_parse_tile_sizes(args)
-    )
+    run = Session(disk_cache=cache).run(program, tile_sizes=_parse_tile_sizes(args))
     _flush_cache(cache)
-    report = compiled.validate()
+    report = validate_hybrid_tiling(run.artifact("tiling").tiling)
     print(report)
     if not report.ok:
         print("schedule validation failed", file=sys.stderr)
         return EXIT_FAILURE
-    compiled.simulate_and_check()
+    run.simulate_and_check()
     print("functional simulation matches the NumPy reference")
     return EXIT_OK
 
@@ -632,7 +636,7 @@ def _trace_config_compile(job: tuple[str, str, str | None]) -> str:
     stencil, label, cache_root = job
     cache = DiskCache(cache_root) if cache_root else None
     config = table4_configurations()[label]
-    HybridCompiler(disk_cache=cache).compile(get_stencil(stencil), config=config)
+    Session(disk_cache=cache).run(get_stencil(stencil), config=config)
     if cache is not None:
         cache.flush_stats()
     return label

@@ -17,9 +17,7 @@ EXPECTED_ALL = [
     "AnalysisBundle",
     "CanonicalIR",
     "CompilationRequest",
-    "CompilationResult",
     "GeneratedCode",
-    "HybridCompiler",
     "MemoryPlan",
     "OptimizationConfig",
     "ParsedProgram",
@@ -73,7 +71,7 @@ def _parameter_names(callable_) -> list[str]:
 
 def test_session_signatures_are_pinned():
     assert _parameter_names(api.Session.__init__) == [
-        "self", "device", "strategy", "disk_cache", "cache_capacity", "observers",
+        "self", "device", "strategy", "disk_cache", "cache_capacity",
         "tuning_db", "telemetry",
     ]
     assert _parameter_names(api.Session.run) == [
@@ -82,18 +80,9 @@ def test_session_signatures_are_pinned():
     ]
 
 
-def test_facade_signatures_are_pinned():
-    assert _parameter_names(api.HybridCompiler.compile) == [
-        "self", "program", "tile_sizes", "config", "storage", "threads", "tuned",
-    ]
-    assert _parameter_names(api.HybridCompiler.__init__) == [
-        "self", "device", "disk_cache", "tuning_db",
-    ]
-
-
 def test_pipeline_run_surface_is_pinned():
     assert _parameter_names(api.PipelineRun.artifact) == ["self", "stage"]
-    for method in ("artifact", "result", "timings", "describe"):
+    for method in ("artifact", "simulate_and_check", "timings", "describe"):
         assert callable(getattr(api.PipelineRun, method))
 
 

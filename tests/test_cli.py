@@ -131,13 +131,13 @@ def test_cache_stats_and_clear(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["cache", "stats"]) == 0
     stats = capsys.readouterr().out
-    # One compile stores one artifact per cacheable pass (canonicalize,
-    # tiling, memory, codegen).
-    assert "entries    : 4" in stats
+    # One compile stores one artifact per cacheable pass it runs
+    # (canonicalize, tiling, memory, codegen, analysis).
+    assert "entries    : 5" in stats
     assert str(tmp_path / "cache") in stats
     # ...and clear removes them.
     assert main(["cache", "clear"]) == 0
-    assert "removed 4" in capsys.readouterr().out
+    assert "removed 5" in capsys.readouterr().out
     assert main(["cache", "stats"]) == 0
     assert "entries    : 0" in capsys.readouterr().out
 
@@ -149,9 +149,9 @@ def test_compile_reuses_the_persistent_cache(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["cache", "stats"]) == 0
     stats = capsys.readouterr().out
-    # The second compile reuses all four pass artifacts of the first.
-    assert "hits       : 4" in stats
-    assert "stores     : 4" in stats
+    # The second compile reuses all five pass artifacts of the first.
+    assert "hits       : 5" in stats
+    assert "stores     : 5" in stats
 
 
 def test_no_cache_flag_bypasses_the_disk_cache(tmp_path, monkeypatch, capsys):
