@@ -118,7 +118,7 @@ class TilingPlan:
     continue into the ``memory`` and later stages.
     """
 
-    SCHEMA_VERSION = 1
+    SCHEMA_VERSION = 2
 
     strategy: str
     sizes: TileSizes | None
@@ -140,7 +140,7 @@ class TilingPlan:
             data["model_iterations_per_tile"] = self.tile_cost.iterations
             data["model_shared_memory_bytes"] = self.tile_cost.shared_memory_bytes
             if self.tile_cost.rejections:
-                # Why the rest of the §3.7 search space was pruned (shared
+                # How many §3.7 grid points were pruned per reason (shared
                 # memory overflow, legality, occupancy floor) — surfaced by
                 # ``hexcc inspect --stop-after tiling --json``.
                 data["model_pruned"] = dict(self.tile_cost.rejections)

@@ -12,53 +12,45 @@ the size of the rectangular shared-memory box PPCG allocates for the tile
 (Section 4.2); with inter-tile reuse enabled (Section 4.2.2) only the part of
 the box that was not already loaded by the preceding tile along the innermost
 (classically tiled, sequentially executed) dimension is counted.
+
+:func:`legal_tile_sizes` is the one walk over the tile-size grid.  The
+model's selection (:func:`select_tile_sizes`) is its argmin, and the
+autotuner's candidate space (:class:`repro.tuning.space.CandidateSpace`) is
+its list of legal points, so both see the same legality rules, costs and
+per-point prune counts.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from collections.abc import Iterable, Mapping
+from fractions import Fraction
 
 from repro.model.preprocess import CanonicalForm
+from repro.model.program import StencilProgram
 from repro.tiling.cone import DependenceCone
 from repro.tiling.hexagon import HexagonalTileShape, minimal_width
 from repro.tiling.hybrid import TileSizes
 
-#: Reasons a tile-size candidate can be pruned during a search.  Shared with
-#: the autotuner's candidate generator (:mod:`repro.tuning.space`) so both
-#: report the same vocabulary in ``hexcc inspect``/``hexcc tune``.
+#: The default axes of the tile-size grid: heights ``h`` and the widths of
+#: ``w_0`` and of every middle dimension.  The innermost width of a 2-D+
+#: stencil defaults to :func:`default_inner_widths`.
+DEFAULT_HEIGHTS = tuple(range(0, 17))
+DEFAULT_WIDTHS = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32)
+
+#: Reasons a grid point can be pruned by :func:`legal_tile_sizes`, as
+#: reported by ``hexcc inspect`` and ``hexcc tune``.
 PRUNE_SHARED_MEMORY = "shared_memory_overflow"
 PRUNE_LEGALITY = "legality"
 PRUNE_OCCUPANCY = "occupancy_floor"
 PRUNE_REASONS = (PRUNE_SHARED_MEMORY, PRUNE_LEGALITY, PRUNE_OCCUPANCY)
 
 
-def new_prune_counters() -> dict[str, int]:
-    """A fresh ``reason -> count`` mapping, plus the ``evaluated`` counter."""
-    counters = {reason: 0 for reason in PRUNE_REASONS}
-    counters["evaluated"] = 0
-    return counters
-
-
-def height_is_legal(height: int, num_statements: int) -> bool:
-    """``h + 1`` must be a multiple of the statement count (Section 3.3).
-
-    Shared between :func:`select_tile_sizes` and the autotuner's candidate
-    generator so the two searches can never disagree on legality.
-    """
-    return (height + 1) % num_statements == 0
-
-
-def inner_width_keeps_full_warps(
-    widths: tuple[int, ...], ndim: int, warp_size: int
-) -> bool:
-    """2-D+ stencils must fill whole warps along the innermost dimension.
-
-    Partial warps idle cores on every barrier step (Section 2); 1-D stencils
-    have no classically-tiled inner dimension, so no constraint applies.
-    """
-    return ndim < 2 or widths[-1] % warp_size == 0
+def default_inner_widths(warp_size: int) -> tuple[int, ...]:
+    """The default innermost widths of a 2-D+ stencil: one, two or four warps."""
+    return (warp_size, 2 * warp_size, 4 * warp_size)
 
 
 @dataclass(frozen=True)
@@ -70,10 +62,10 @@ class TileCostEstimate:
     loads: int
     stores: int
     shared_memory_bytes: int
-    #: When produced by a search (:func:`select_tile_sizes`), the counts of
-    #: candidates pruned per reason plus the ``evaluated`` count — why the
-    #: rest of the space was rejected.  Excluded from equality so estimates
-    #: from different searches still compare by their cost figures.
+    #: When produced by :func:`select_tile_sizes`, the counts of grid points
+    #: pruned per reason plus the ``evaluated`` count — why the rest of the
+    #: grid was rejected.  Excluded from equality so a selected estimate
+    #: still compares equal to the same point recomputed by the model.
     rejections: Mapping[str, int] | None = field(
         default=None, compare=False, repr=False
     )
@@ -102,28 +94,15 @@ class TileSizeModel:
         self.cone = DependenceCone.from_distance_vectors(
             canonical.distance_vectors, dim_index=0
         )
-        self._space_bounds = [
-            canonical.space_distance_bounds(index)
-            for index in range(len(canonical.space_dims))
+        self._slopes = [
+            canonical.space_distance_bounds(index)[1]
+            for index in range(1, len(canonical.space_dims))
         ]
-        self._read_radii = self._compute_read_radii()
-        # The search of select_tile_sizes revisits the same (h, w0) pair for
-        # every combination of the remaining widths; the hexagonal shape (and
-        # its exact-rational row geometry) only depends on (h, w0).
+        self._read_radii = read_radii(canonical.program)
+        # The grid walk revisits the same (h, w0) pair for every combination
+        # of the remaining widths; the hexagonal shape (and its exact-rational
+        # row geometry) only depends on (h, w0).
         self._shape_cache: dict[tuple[int, int], HexagonalTileShape] = {}
-
-    def _compute_read_radii(self) -> dict[str, list[tuple[int, int]]]:
-        """Per-field, per-dimension (negative, positive) read radii."""
-        radii: dict[str, list[tuple[int, int]]] = {}
-        for statement in self.canonical.program.statements:
-            for read in statement.reads:
-                entry = radii.setdefault(
-                    read.field, [(0, 0)] * self.canonical.program.ndim
-                )
-                for axis, offset in enumerate(read.offsets):
-                    low, high = entry[axis]
-                    entry[axis] = (min(low, offset), max(high, offset))
-        return radii
 
     # -- per-tile quantities ---------------------------------------------------------------
 
@@ -137,21 +116,7 @@ class TileSizeModel:
 
     def iterations(self, sizes: TileSizes) -> int:
         """Statement instances per full tile (matches the formula of §3.7)."""
-        total = self.shape(sizes).count()
-        for width in sizes.widths[1:]:
-            total *= width
-        return total
-
-    def tile_box_extents(self, sizes: TileSizes) -> list[int]:
-        """Data-space extent of the tile's footprint box along each space dim."""
-        shape = self.shape(sizes)
-        (_, _), (b_min, b_max) = shape.bounding_box()
-        extents = [b_max - b_min + 1]
-        for index, width in enumerate(sizes.widths[1:], start=1):
-            _, delta1 = self._space_bounds[index]
-            skew_span = int(delta1 * (shape.time_period - 1))
-            extents.append(width + skew_span)
-        return extents
+        return self.shape(sizes).count() * math.prod(sizes.widths[1:])
 
     def footprint_elements(self, sizes: TileSizes, inter_tile_reuse: bool = False) -> int:
         """Array elements the tile must read from global memory.
@@ -161,43 +126,30 @@ class TileSizeModel:
         allocation strategy).  With ``inter_tile_reuse`` the innermost
         dimension only contributes the non-overlapping part ``w_inner``.
         """
-        extents = self.tile_box_extents(sizes)
-        total = 0
-        for field, radii in self._read_radii.items():
-            field_total = 1
-            for axis, extent in enumerate(extents):
-                low, high = radii[axis]
-                span = extent + (high - low)
-                if inter_tile_reuse and axis == len(extents) - 1 and len(extents) > 1:
-                    span = sizes.widths[axis]
-                field_total *= span
-            total += field_total
-        return total
-
-    def stores_per_tile(self, sizes: TileSizes) -> int:
-        """Values written back to global memory per tile (one per iteration)."""
-        return self.iterations(sizes)
+        return self.estimate(sizes, inter_tile_reuse=inter_tile_reuse).loads
 
     def shared_memory_bytes(self, sizes: TileSizes) -> int:
         """Shared memory needed to stage the tile's footprint boxes."""
-        extents = self.tile_box_extents(sizes)
-        total = 0
-        for field, radii in self._read_radii.items():
-            field_total = 1
-            for axis, extent in enumerate(extents):
-                low, high = radii[axis]
-                field_total *= extent + (high - low)
-            total += field_total
-        return total * self.element_size
+        return self.estimate(sizes).shared_memory_bytes
 
     def estimate(self, sizes: TileSizes, inter_tile_reuse: bool = True) -> TileCostEstimate:
         """Full cost estimate for one tile size choice."""
+        iterations = self.iterations(sizes)
+        extents = tile_box_extents(self.shape(sizes), sizes.widths, self._slopes)
+        reuse_inner = inter_tile_reuse and len(extents) > 1
+        loads = 0
+        staged = 0
+        for radii in self._read_radii.values():
+            box = [extent + high - low for extent, (low, high) in zip(extents, radii)]
+            full = math.prod(box)
+            staged += full
+            loads += math.prod(box[:-1]) * sizes.widths[-1] if reuse_inner else full
         return TileCostEstimate(
             sizes=sizes,
-            iterations=self.iterations(sizes),
-            loads=self.footprint_elements(sizes, inter_tile_reuse=inter_tile_reuse),
-            stores=self.stores_per_tile(sizes),
-            shared_memory_bytes=self.shared_memory_bytes(sizes),
+            iterations=iterations,
+            loads=loads,
+            stores=iterations,
+            shared_memory_bytes=staged * self.element_size,
         )
 
     # -- the closed-form of Section 3.7 --------------------------------------------------------
@@ -217,95 +169,109 @@ class TileSizeModel:
         return 2 * (1 + 2 * h + h * h + w0 * (h + 1)) * sizes.widths[1] * sizes.widths[2]
 
 
+def read_radii(program: StencilProgram) -> dict[str, list[tuple[int, int]]]:
+    """Per-field, per-dimension ``(lowest, highest)`` read offsets."""
+    radii: dict[str, list[tuple[int, int]]] = {}
+    for statement in program.statements:
+        for read in statement.reads:
+            entry = radii.setdefault(read.field, [(0, 0)] * program.ndim)
+            for axis, offset in enumerate(read.offsets):
+                low, high = entry[axis]
+                entry[axis] = (min(low, offset), max(high, offset))
+    return radii
+
+
+def tile_box_extents(
+    shape: HexagonalTileShape, widths: Sequence[int], slopes: Sequence[Fraction]
+) -> list[int]:
+    """Data-space extent of a full tile along each space dim (no read halo).
+
+    ``slopes`` are the skewing slopes ``δ1`` of the classically tiled
+    dimensions ``1..n``; each widens its box by the skew over one tile.
+    """
+    (_, _), (b_min, b_max) = shape.bounding_box()
+    extents = [b_max - b_min + 1]
+    for width, slope in zip(widths[1:], slopes):
+        extents.append(width + int(slope * (shape.time_period - 1)))
+    return extents
+
+
+def legal_tile_sizes(
+    model: TileSizeModel,
+    shared_memory_limit: int,
+    warp_size: int,
+    inter_tile_reuse: bool,
+    heights: Sequence[int] = DEFAULT_HEIGHTS,
+    widths: Sequence[int] = DEFAULT_WIDTHS,
+    inner_widths: Sequence[int] | None = None,
+) -> tuple[list[TileCostEstimate], dict[str, int]]:
+    """Walk the ``(h, w_0, middle..., w_inner)`` grid: the one tile-size search.
+
+    A grid point is kept when
+
+    * ``h + 1`` is a multiple of the number of statements (Section 3.3);
+    * ``w_0`` satisfies the convexity condition (1);
+    * the innermost tile width of a 2-D+ stencil is a multiple of the warp
+      size so full warps execute, accesses are stride-one and loads are
+      cache-line aligned (Section 2);
+    * the shared-memory footprint stays within ``shared_memory_limit``.
+
+    Returns the estimates of the kept points in product order of the axes
+    (``heights``, ``widths`` for ``w_0`` and every middle dimension,
+    ``inner_widths`` — :func:`default_inner_widths` if omitted — for the
+    innermost one of a 2-D+ stencil), plus the number of grid points pruned
+    per :data:`PRUNE_REASONS` (the first violated rule, in the order above)
+    and the number ``evaluated`` (kept).
+    """
+    num_statements = model.canonical.num_statements
+    ndim = len(model.canonical.space_dims)
+    if inner_widths is None:
+        inner_widths = default_inner_widths(warp_size)
+    trailing_axes = ([widths] * (ndim - 2) + [inner_widths]) if ndim >= 2 else []
+    trailing = list(itertools.product(*trailing_axes))
+    pruned = dict.fromkeys(PRUNE_REASONS, 0)
+    kept: list[TileCostEstimate] = []
+    for height in heights:
+        if (height + 1) % num_statements:
+            pruned[PRUNE_LEGALITY] += len(widths) * len(trailing)
+            continue
+        min_w0 = minimal_width(model.cone.delta0, model.cone.delta1, height)
+        for w0 in widths:
+            if w0 < min_w0:
+                pruned[PRUNE_LEGALITY] += len(trailing)
+                continue
+            for rest in trailing:
+                point = (w0, *rest)
+                if ndim >= 2 and point[-1] % warp_size:
+                    pruned[PRUNE_OCCUPANCY] += 1
+                    continue
+                estimate = model.estimate(
+                    TileSizes(height, point), inter_tile_reuse=inter_tile_reuse
+                )
+                if estimate.shared_memory_bytes > shared_memory_limit:
+                    pruned[PRUNE_SHARED_MEMORY] += 1
+                    continue
+                kept.append(estimate)
+    pruned["evaluated"] = len(kept)
+    return kept, pruned
+
+
 def select_tile_sizes(
     canonical: CanonicalForm,
     shared_memory_limit: int = 48 * 1024,
     warp_size: int = 32,
-    height_candidates: Iterable[int] | None = None,
-    width_candidates: Iterable[int] | None = None,
-    inner_width_candidates: Iterable[int] | None = None,
     inter_tile_reuse: bool = True,
 ) -> TileCostEstimate:
-    """Search the tile-size space and return the best estimate (Section 3.7).
+    """The §3.7 selection: the best point of :func:`legal_tile_sizes`.
 
-    Constraints applied during the search:
-
-    * ``h + 1`` must be a multiple of the number of statements;
-    * ``w_0`` must satisfy the convexity condition (1);
-    * the innermost tile width must be a multiple of the warp size so full
-      warps execute, accesses are stride-one and loads are cache-line aligned
-      (Section 2);
-    * the shared-memory footprint must stay below ``shared_memory_limit``.
-
-    The returned estimate carries a ``rejections`` mapping counting, per
-    :data:`PRUNE_REASONS`, how many candidate points the search pruned (a
-    ``w_0`` below the convexity minimum is *clamped* to it and counted as a
-    legality prune of the raw point) plus the number actually ``evaluated``.
+    Best is the lowest load-to-compute ratio, ties broken towards more
+    iterations per tile, then towards the earlier grid point.  The returned
+    estimate carries the walk's per-point ``rejections``.
     """
-    model = TileSizeModel(canonical)
-    k = canonical.num_statements
-    ndim = len(canonical.space_dims)
-
-    # Caller-supplied axes are trusted as-is (callers may deliberately probe
-    # off-grid points); only the built-in default axes are filtered — and
-    # counted per prune reason.  The default inner widths are warp multiples
-    # by construction, so ``occupancy_floor`` is zero unless a custom axis
-    # violates the full-warp constraint knowingly.
-    default_heights = height_candidates is None
-    default_inner = inner_width_candidates is None
-    if height_candidates is None:
-        height_candidates = list(range(0, 17))
-    if width_candidates is None:
-        width_candidates = [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32]
-    if inner_width_candidates is None:
-        inner_width_candidates = [warp_size, 2 * warp_size, 4 * warp_size]
-
-    heights = list(height_candidates)
-    widths = list(width_candidates)
-    inner_widths = list(inner_width_candidates)
-    pruned = new_prune_counters()
-
-    best: TileCostEstimate | None = None
-    for height in heights:
-        if default_heights and not height_is_legal(height, k):
-            pruned[PRUNE_LEGALITY] += 1
-            continue
-        min_w0 = minimal_width(model.cone.delta0, model.cone.delta1, height)
-        if ndim == 1:
-            raw_w0s = [(w,) for w in widths]
-        else:
-            middle_dims = ndim - 2
-            middle_choices = list(
-                itertools.product(widths, repeat=middle_dims) if middle_dims else [()]
-            )
-            raw_w0s = [
-                (w0, *middle, inner)
-                for w0 in widths
-                for middle in middle_choices
-                for inner in inner_widths
-            ]
-        for raw in raw_w0s:
-            if raw[0] < min_w0:
-                # Condition (1) of Section 3.3: the hexagon degenerates below
-                # this width.  The point is clamped to the minimum (so the
-                # boundary candidate is still explored) and the raw point
-                # counted as a legality prune.
-                pruned[PRUNE_LEGALITY] += 1
-            candidate = (max(raw[0], min_w0), *raw[1:])
-            if default_inner and not inner_width_keeps_full_warps(
-                candidate, ndim, warp_size
-            ):
-                pruned[PRUNE_OCCUPANCY] += 1
-                continue
-            sizes = TileSizes(height, tuple(candidate))
-            estimate = model.estimate(sizes, inter_tile_reuse=inter_tile_reuse)
-            if estimate.shared_memory_bytes > shared_memory_limit:
-                pruned[PRUNE_SHARED_MEMORY] += 1
-                continue
-            pruned["evaluated"] += 1
-            if best is None or _better(estimate, best):
-                best = estimate
-    if best is None:
+    kept, pruned = legal_tile_sizes(
+        TileSizeModel(canonical), shared_memory_limit, warp_size, inter_tile_reuse
+    )
+    if not kept:
         raise ValueError(
             "no legal tile size found within the shared-memory limit "
             f"(pruned: {PRUNE_SHARED_MEMORY}={pruned[PRUNE_SHARED_MEMORY]}, "
@@ -313,11 +279,5 @@ def select_tile_sizes(
             f"{PRUNE_OCCUPANCY}={pruned[PRUNE_OCCUPANCY]}); "
             "decrease the tile widths or increase the limit"
         )
+    best = min(kept, key=lambda estimate: (estimate.load_to_compute, -estimate.iterations))
     return replace(best, rejections=pruned)
-
-
-def _better(candidate: TileCostEstimate, incumbent: TileCostEstimate) -> bool:
-    """Prefer a lower load-to-compute ratio; break ties with fewer iterations."""
-    if candidate.load_to_compute != incumbent.load_to_compute:
-        return candidate.load_to_compute < incumbent.load_to_compute
-    return candidate.iterations > incumbent.iterations

@@ -6,8 +6,10 @@ by *measuring* instead of modelling.  This package closes that loop on top
 of the staged pipeline:
 
 * :class:`~repro.tuning.space.CandidateSpace` — the legal tile-size /
-  launch-config grid, derived from the §3.7 constraints (statement
-  multiplicity, hexagon convexity, full-warp floor, shared-memory fit);
+  launch-config grid: the legal points of the §3.7 grid walk
+  (:func:`repro.tiling.tile_size.legal_tile_sizes`: statement multiplicity,
+  hexagon convexity, full-warp floor, shared-memory fit), whose argmin is
+  the model's own selection;
 * search strategies (``grid`` / ``random`` / ``hillclimb``) behind a
   registry mirroring :mod:`repro.api.strategies`;
 * objectives (``model`` / ``simulate`` / ``counters``) scoring candidates

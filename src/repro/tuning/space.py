@@ -1,20 +1,22 @@
 """The autotuner's candidate space: tile sizes + launch configurations.
 
-The space is derived from the same constraints the §3.7 model search obeys
-(:func:`repro.tiling.tile_size.select_tile_sizes`):
+The tile sizes are the legal points of the §3.7 grid walk
+(:func:`repro.tiling.tile_size.legal_tile_sizes`), the same walk whose argmin
+is the model's selection (:func:`repro.tiling.tile_size.select_tile_sizes`).
+A point is legal when
 
-* ``h + 1`` must be a multiple of the statement count (the hexagonal
-  schedule interleaves the statements along logical time);
-* ``w_0`` must satisfy the convexity condition (1) —
+* ``h + 1`` is a multiple of the statement count (the hexagonal schedule
+  interleaves the statements along logical time);
+* ``w_0`` satisfies the convexity condition (1) —
   :func:`repro.tiling.hexagon.minimal_width`;
-* the innermost tile width must keep full warps busy (a multiple of the
-  warp size, for 2-D+ stencils);
-* the tile's shared-memory footprint must fit the device.
+* the innermost tile width keeps full warps busy (a multiple of the warp
+  size, for 2-D+ stencils);
+* the tile's shared-memory footprint fits the device.
 
-Candidates violating a constraint are never emitted; the space records *why*
-each raw grid point was pruned (:data:`repro.tiling.tile_size.PRUNE_REASONS`)
-so sweeps are auditable.  Every emitted candidate is legal by construction —
-the property tests in ``tests/tuning`` pin that any of them survives
+Illegal points are never emitted; the walk records *why* each grid point was
+pruned (:data:`repro.tiling.tile_size.PRUNE_REASONS`) so sweeps are
+auditable.  Every emitted candidate is legal by construction — the property
+tests in ``tests/tuning`` pin that any of them survives
 :func:`repro.tiling.validate.validate_hybrid_tiling`.
 
 A candidate optionally carries a thread-block shape (the launch-config half
@@ -25,26 +27,18 @@ derived from the innermost tile width.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.gpu.device import GPUDevice, GTX470
 from repro.model.preprocess import CanonicalForm
-from repro.tiling.hexagon import minimal_width
 from repro.tiling.hybrid import TileSizes
 from repro.tiling.tile_size import (
-    PRUNE_LEGALITY,
-    PRUNE_OCCUPANCY,
-    PRUNE_SHARED_MEMORY,
+    DEFAULT_HEIGHTS,
+    DEFAULT_WIDTHS,
     TileSizeModel,
-    height_is_legal,
-    inner_width_keeps_full_warps,
-    new_prune_counters,
+    default_inner_widths,
+    legal_tile_sizes,
 )
-
-#: Default axis values, mirroring ``select_tile_sizes``.
-DEFAULT_HEIGHTS = tuple(range(0, 17))
-DEFAULT_WIDTHS = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 20, 24, 32)
 
 
 @dataclass(frozen=True)
@@ -84,25 +78,18 @@ class CandidateSpace:
         self.inter_tile_reuse = inter_tile_reuse
         self.model = TileSizeModel(canonical)
         self.ndim = len(canonical.space_dims)
-        warp = device.warp_size
         self.heights = tuple(heights if heights is not None else DEFAULT_HEIGHTS)
         self.widths = tuple(widths if widths is not None else DEFAULT_WIDTHS)
         self.inner_widths = tuple(
-            inner_widths if inner_widths is not None else (warp, 2 * warp, 4 * warp)
+            inner_widths
+            if inner_widths is not None
+            else default_inner_widths(device.warp_size)
         )
         self.tune_threads = tune_threads
         self._candidates: list[Candidate] | None = None
-        self._pruned: dict[str, int] = new_prune_counters()
+        self._pruned: dict[str, int] = {}
 
     # -- enumeration -------------------------------------------------------------
-
-    def _axes(self) -> list[tuple[int, ...]]:
-        """The raw value grid: ``[heights, w0s, middles..., inner]``."""
-        axes: list[tuple[int, ...]] = [self.heights, self.widths]
-        if self.ndim >= 2:
-            axes.extend([self.widths] * (self.ndim - 2))
-            axes.append(self.inner_widths)
-        return axes
 
     def _thread_shapes(self, sizes: TileSizes) -> list[tuple[int, ...] | None]:
         """Block-shape variants for one tile size (``None`` = codegen default)."""
@@ -131,45 +118,22 @@ class CandidateSpace:
 
     def enumerate(self) -> list[Candidate]:
         """Every legal candidate, in deterministic order (memoised)."""
-        if self._candidates is not None:
-            return self._candidates
-        k = self.canonical.num_statements
-        warp = self.device.warp_size
-        limit = self.device.shared_memory_per_sm
-        pruned = new_prune_counters()
-        seen: set[tuple] = set()
-        out: list[Candidate] = []
-        for values in product(*self._axes()):
-            height, raw_widths = values[0], values[1:]
-            if not height_is_legal(height, k):
-                pruned[PRUNE_LEGALITY] += 1
-                continue
-            min_w0 = minimal_width(
-                self.model.cone.delta0, self.model.cone.delta1, height
+        if self._candidates is None:
+            estimates, self._pruned = legal_tile_sizes(
+                self.model,
+                self.device.shared_memory_per_sm,
+                self.device.warp_size,
+                self.inter_tile_reuse,
+                self.heights,
+                self.widths,
+                self.inner_widths,
             )
-            if raw_widths[0] < min_w0:
-                pruned[PRUNE_LEGALITY] += 1
-                continue
-            if not inner_width_keeps_full_warps(raw_widths, self.ndim, warp):
-                pruned[PRUNE_OCCUPANCY] += 1
-                continue
-            sizes = TileSizes(height, tuple(raw_widths))
-            estimate = self.model.estimate(
-                sizes, inter_tile_reuse=self.inter_tile_reuse
-            )
-            if estimate.shared_memory_bytes > limit:
-                pruned[PRUNE_SHARED_MEMORY] += 1
-                continue
-            for threads in self._thread_shapes(sizes):
-                key = (height, raw_widths, threads)
-                if key in seen:
-                    continue
-                seen.add(key)
-                pruned["evaluated"] += 1
-                out.append(Candidate(sizes=sizes, threads=threads))
-        self._candidates = out
-        self._pruned = pruned
-        return out
+            self._candidates = [
+                Candidate(sizes=estimate.sizes, threads=threads)
+                for estimate in estimates
+                for threads in self._thread_shapes(estimate.sizes)
+            ]
+        return self._candidates
 
     def __len__(self) -> int:
         return len(self.enumerate())
@@ -179,7 +143,7 @@ class CandidateSpace:
 
     @property
     def rejections(self) -> Mapping[str, int]:
-        """Per-reason prune counts of the enumeration (plus ``evaluated``)."""
+        """Per-reason counts of pruned grid points (plus ``evaluated``)."""
         self.enumerate()
         return dict(self._pruned)
 
@@ -225,36 +189,9 @@ class CandidateSpace:
                 consider(candidate.sizes, threads)
         return out
 
-    def closest(self, sizes: TileSizes) -> Candidate | None:
-        """The space member nearest to ``sizes`` (exact match preferred)."""
-        members = self.enumerate()
-        if not members:
-            return None
-        exact = Candidate(sizes=sizes, threads=None)
-        if exact in members:
-            return exact
-
-        def distance(candidate: Candidate) -> tuple:
-            height_gap = abs(candidate.sizes.height - sizes.height)
-            width_gap = sum(
-                abs(a - b)
-                for a, b in zip(candidate.sizes.widths, sizes.widths)
-            )
-            return (candidate.threads is not None, height_gap + width_gap)
-
-        return min(members, key=distance)
-
 
 def _step(values: Sequence[int], current: int, delta: int) -> int | None:
     """The next axis value ``delta`` (+1/-1) steps away from ``current``."""
     ordered = sorted(set(values))
-    if current in ordered:
-        index = ordered.index(current) + delta
-        return ordered[index] if 0 <= index < len(ordered) else None
-    # Off-grid start (e.g. a clamped model selection): the nearest grid value
-    # in the step direction.
-    if delta < 0:
-        lower = [v for v in ordered if v < current]
-        return lower[-1] if lower else None
-    higher = [v for v in ordered if v > current]
-    return higher[0] if higher else None
+    index = ordered.index(current) + delta
+    return ordered[index] if 0 <= index < len(ordered) else None

@@ -355,12 +355,12 @@ def _tune_impl(
                 )
         return [trial for trial in trials if trial is not None]
 
-    # The §3.7 model selection, snapped to the space: always evaluated, and
-    # handed to strategies that exploit a starting point.
+    # The §3.7 model selection is the argmin of the same grid walk, so it is
+    # a space member: always evaluated, and handed to strategies that exploit
+    # a starting point.
     model_plan = session.run(program, config=config, stop_after="tiling")
-    model_sizes = model_plan.artifact("tiling").sizes
-    start = space.closest(model_sizes)
-    baseline = evaluate([Candidate(sizes=model_sizes)])[0]
+    start = Candidate(sizes=model_plan.artifact("tiling").sizes)
+    baseline = evaluate([start])[0]
 
     with obs.span(
         "tune.search",

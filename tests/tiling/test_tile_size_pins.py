@@ -18,6 +18,7 @@ from repro.gpu.device import GTX470, NVS5200M
 from repro.model.preprocess import canonicalize
 from repro.stencils import get_stencil
 from repro.tiling.tile_size import select_tile_sizes
+from repro.tuning import CandidateSpace
 
 DEVICES = {device.name: device for device in (GTX470, NVS5200M)}
 
@@ -126,3 +127,19 @@ def test_model_selection_is_pinned(
         estimate.iterations,
         estimate.shared_memory_bytes,
     ) == (height, widths, loads, iterations, shared)
+
+
+def test_sub_minimal_w0_points_are_pruned_once(canonical_forms):
+    """Radius 3 needs ``w_0 >= 2``: the 17 grid points with ``w_0 = 1`` are
+    legality prunes and are not scored again at the minimum, so the model
+    and the autotuner's space count the same 221 evaluated points."""
+    canonical = canonical_forms["radius3_1d"]
+    chosen = select_tile_sizes(canonical)
+    expected = {
+        "shared_memory_overflow": 0,
+        "legality": 17,
+        "occupancy_floor": 0,
+        "evaluated": 221,
+    }
+    assert chosen.rejections == expected
+    assert CandidateSpace(canonical, GTX470).rejections == expected

@@ -6,7 +6,7 @@ import pytest
 
 from repro.gpu.device import GTX470, NVS5200M
 from repro.model.preprocess import canonicalize
-from repro.stencils import get_stencil
+from repro.stencils import get_stencil, list_stencils
 from repro.tiling.hexagon import minimal_width
 from repro.tiling.tile_size import (
     PRUNE_LEGALITY,
@@ -138,12 +138,38 @@ def test_neighbours_are_axis_aligned_members(heat3d_canonical):
         assert differing == 1
 
 
-def test_closest_snaps_model_selection_into_the_space(heat3d_canonical):
+def test_model_selection_is_a_space_member(heat3d_canonical):
     space = CandidateSpace(heat3d_canonical, GTX470)
     best = select_tile_sizes(heat3d_canonical)
-    snapped = space.closest(best.sizes)
-    assert snapped is not None
-    assert snapped in set(space.enumerate())
+    assert Candidate(sizes=best.sizes) in set(space.enumerate())
+
+
+@pytest.mark.parametrize("reuse", [True, False])
+@pytest.mark.parametrize("device", [GTX470, NVS5200M], ids=lambda d: d.name)
+@pytest.mark.parametrize("name", list_stencils())
+def test_model_is_the_argmin_of_the_space(name, device, reuse):
+    """One grid walk: same per-point prune counts, and the model's selection
+    is the first minimum of (load-to-compute, -iterations) over the space."""
+    canonical = canonicalize(get_stencil(name))
+    chosen = select_tile_sizes(
+        canonical,
+        shared_memory_limit=device.shared_memory_per_sm,
+        warp_size=device.warp_size,
+        inter_tile_reuse=reuse,
+    )
+    space = CandidateSpace(canonical, device, inter_tile_reuse=reuse)
+    assert chosen.rejections == space.rejections
+    # Every grid point is counted exactly once: pruned for one reason, or kept.
+    grid_points = len(space.heights) * len(space.widths) ** max(space.ndim - 1, 1)
+    if space.ndim >= 2:
+        grid_points *= len(space.inner_widths)
+    assert sum(chosen.rejections.values()) == grid_points
+    estimates = [
+        space.model.estimate(candidate.sizes, inter_tile_reuse=reuse)
+        for candidate in space
+    ]
+    best = min(estimates, key=lambda e: (e.load_to_compute, -e.iterations))
+    assert best.sizes == chosen.sizes
 
 
 def test_select_tile_sizes_reports_rejections(heat3d_canonical):
@@ -188,12 +214,3 @@ def test_3d_sweep_explores_all_w0_values(heat3d_canonical):
     old_buggy_winner = model.estimate(TileSizes.of(3, 1, 20, 32))
     assert best.load_to_compute < old_buggy_winner.load_to_compute
     assert best.sizes.w0 > 1
-
-
-def test_explicit_height_candidates_are_trusted(fdtd_canonical):
-    # Callers may deliberately probe heights off the legality grid; explicit
-    # candidate lists bypass the statement-multiplicity filter (and are not
-    # counted as prunes), matching the pre-rejection-accounting behaviour.
-    estimate = select_tile_sizes(fdtd_canonical, height_candidates=[1, 3])
-    assert estimate.sizes.height in (1, 3)
-    assert estimate.rejections[PRUNE_LEGALITY] == 0
